@@ -146,11 +146,16 @@ def contact_of(v: Velocity, tol: float = DEFAULT_TOL) -> ContactElement:
     _require_codim(v.dims)
     if not is_regular(v, tol):
         raise ValueError("contact_of requires a regular velocity (rank m linear part)")
-    m = v.dims.m
-    I = pivot_rows([v.U], m, tol, names=("U",))
-    P = v.U @ safe_inv(v.U[list(I), :], "U pivot block")
-    P[list(I), :] = np.eye(m)  # pivot rows are the identity by construction
-    return ContactElement(v.dims, v.u, P)
+    rows = list(pivot_rows([v.U], v.dims.m, tol, names=("U",)))
+    return _echelon_contact(v.dims, v.u, v.U, rows, safe_inv(v.U[rows, :], "U pivot block"))
+
+
+def _echelon_contact(dims: Dims, u, U: np.ndarray, rows: list, r: np.ndarray) -> ContactElement:
+    """The contact element spanned by U, given its pivot rows and the
+    inverse r of its pivot block: basis U @ r."""
+    P = U @ r
+    P[rows, :] = np.eye(dims.m)  # pivot rows are the identity by construction
+    return ContactElement(dims, u, P)
 
 
 def contact_equal(c1: ContactElement, c2: ContactElement, tol: float = DEFAULT_TOL) -> bool:
@@ -255,7 +260,7 @@ def vertical_quotient(dv: DoubleVelocity, tol: float = DEFAULT_TOL) -> QuotientV
     term1 = np.einsum("ahk,hi,kj->aij", dv.W, r, r)
     term2 = np.einsum("ah,hk,kij->aij", dv.Ui, r, term1[rows, :, :])
     V = (term1 - term2)[comp, :, :]
-    base = contact_of(inner_projection(dv), tol)
+    base = _echelon_contact(dv.dims, dv.u, dv.Ui, rows, r)
     return QuotientVerticalVector(base, I, V, _quotient_kind(V, tol))
 
 

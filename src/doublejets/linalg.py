@@ -15,6 +15,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DET_FLOOR = 1e-12
+PIVOT_CHUNK = 256  # subsets per stacked determinant in pivot_rows
 
 
 class ChartError(ValueError):
@@ -129,35 +130,55 @@ def safe_inv(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     return np.linalg.inv(A)
 
 
-def det_scale(M: np.ndarray, rows) -> float:
-    """Hadamard-style scale for pivot-determinant thresholds."""
-    s = 1.0
-    for i in rows:
-        s *= max(1.0, inf_norm(M[i]))
-    return s
-
-
 def complement(I, n: int) -> tuple:
     picked = set(I)
     return tuple(i for i in range(n) if i not in picked)
+
+
+def _row_products(floors: np.ndarray) -> np.ndarray:
+    """Product over the last axis, multiplied left to right like a running
+    product from 1, so each threshold is the one a scalar scan computes."""
+    s = floors[..., 0]
+    for j in range(1, floors.shape[-1]):
+        s = s * floors[..., j]
+    return s
 
 
 def pivot_rows(mats, m: int, tol: float = DEFAULT_TOL, names=None) -> tuple:
     """Lexicographically smallest m-subset of row indices whose square block
     is invertible in every given matrix.
 
-    A block counts as invertible when |det| exceeds tol times the product of
-    the row norms, so the rule is reproducible and, because a right action
-    multiplies determinants by a fixed nonzero factor, orbit-invariant on
-    well-conditioned data.
+    A block M[I] counts as invertible when
+    |det M[I]| > tol * prod_{i in I} max(1, |M[i]|_inf), so the rule is
+    reproducible and, because a right action multiplies determinants by a
+    fixed nonzero factor, orbit-invariant on well-conditioned data.
+
+    The leading subset range(m) is tested first.  The other subsets are
+    evaluated in lexicographic chunks of PIVOT_CHUNK, with one stacked
+    determinant per matrix per chunk; the stacked determinant runs the same
+    LU per block and the thresholds multiply the row floors in the same
+    order, so the decision is the one a subset-by-subset scan makes.  The
+    cost still grows with the lexicographic position of the answer, up to
+    C(n, m) determinants when no subset qualifies.
     """
     mats = [np.asarray(M, dtype=float) for M in mats]
     n = mats[0].shape[0]
-    for I in itertools.combinations(range(n), m):
-        rows = list(I)
-        if all(abs(np.linalg.det(M[rows, :])) > tol * det_scale(M, rows)
-               for M in mats):
-            return I
+    if n >= m:
+        floors = [np.fmax(1.0, np.max(np.abs(M), axis=1)) for M in mats]
+        if all(abs(np.linalg.det(M[:m])) > tol * _row_products(f[:m])
+               for M, f in zip(mats, floors)):
+            return tuple(range(m))
+        subsets = itertools.combinations(range(n), m)
+        next(subsets)  # the leading subset, tested above
+        while True:
+            chunk = itertools.chain.from_iterable(itertools.islice(subsets, PIVOT_CHUNK))
+            idx = np.fromiter(chunk, dtype=np.intp).reshape(-1, m)
+            if not len(idx):
+                break
+            for M, f in zip(mats, floors):  # keep the subsets every matrix admits
+                idx = idx[np.abs(np.linalg.det(M[idx])) > tol * _row_products(f[idx])]
+            if len(idx):
+                return tuple(int(i) for i in idx[0])
     labels = ", ".join(names) if names else f"{len(mats)} matrix(es)"
     raise ChartError(
         f"no admissible pivot rows: every {m}-subset of rows has a "

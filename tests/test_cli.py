@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -219,3 +223,16 @@ def test_unknown_subcommand_and_missing_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(capsys, "canon", str(bad))[0] == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    value = write_json(tmp_path, "dv.json", WORKED_DOUBLE)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "doublejets", "canon", value],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    code, out, _ = run_cli(capsys, "canon", value)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out

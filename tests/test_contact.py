@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from doublejets import verify
 from doublejets.actions import act_P_double
 from doublejets.contact import (ContactElement, DoubleContactElement,
                                 QuotientVerticalVector, affine_add_contact,
@@ -183,6 +184,9 @@ def test_vertical_quotient_agrees_with_action_route():
         q2 = vertical_quotient_by_action(dv)
         assert q1.I == q2.I
         assert scaled_error(q1.V, q2.V) <= 1e-9
+        # the base plane is contact_of(inner_projection(dv)), bit for bit
+        assert np.array_equal(q1.base.P, q2.base.P)
+        assert np.array_equal(q1.base.u, q2.base.u)
 
 
 def test_vertical_quotient_invariance():
@@ -194,6 +198,16 @@ def test_vertical_quotient_invariance():
         q2 = vertical_quotient(act_P_double(dv, p))
         assert contact_equal(q1.base, q2.base)
         assert scaled_error(q1.V, q2.V) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: at m=3, n=5, seed 1800923 the Ui pivot block has condition "
+    "number ~120 and |V| reaches 1284, and the quotient of the acted value is "
+    "skew only to a scaled residual of 1.79e-9 > tol 1e-9"))
+def test_vertical_quotient_alt_seed_1800923():
+    result = verify.run_property("vertical-quotient-alt", verify.p_vertical_quotient_alt,
+                                 3, 5, 1, 1800923, 1e-9)
+    assert result.failures == 0
 
 
 def test_vertical_quotient_preconditions():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,15 +35,33 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not accepted")
+
+
+def _finite(convert):
+    """A json number hook: the number, unless it overflows a float."""
+    def parse(text: str):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"number {text[:32]} overflows a float")
+        return convert(text)
+    return parse
+
+
 def _read_json(path: str):
+    """One JSON value from a file or standard input ('-'); NaN, Infinity
+    and numbers that overflow a float are rejected as invalid input."""
     try:
         if path == "-":
-            return json.loads(sys.stdin.read())
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text, parse_constant=_reject_constant,
+                          parse_float=_finite(float), parse_int=_finite(int))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 

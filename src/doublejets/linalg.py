@@ -79,9 +79,13 @@ def is_integer_valued(M) -> bool:
 
 
 def exact_integer_rank(M) -> int:
-    """Rank of an integer-valued matrix by exact integer elimination."""
-    A = [[int(round(v)) for v in row]
-         for row in np.atleast_2d(np.asarray(M, dtype=float))]
+    """Rank of an integer-valued matrix by exact integer elimination.
+
+    Entries are rounded as Python floats, and all-zero rows, which never
+    hold a pivot, are dropped before the elimination.
+    """
+    A = [[round(v) for v in row]
+         for row in np.atleast_2d(np.asarray(M, dtype=float)).tolist() if any(row)]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
     rank = 0
@@ -153,13 +157,18 @@ def pivot_rows(mats, m: int, tol: float = DEFAULT_TOL, names=None) -> tuple:
     reproducible and, because a right action multiplies determinants by a
     fixed nonzero factor, orbit-invariant on well-conditioned data.
 
-    The leading subset range(m) is tested first.  The other subsets are
-    evaluated in lexicographic chunks of PIVOT_CHUNK, with one stacked
+    The leading subset range(m) is tested first.  On a miss only the live
+    rows, nonzero in every matrix, are searched: a block with an exactly
+    zero row has a zero LU pivot, so its determinant is 0 (or NaN after
+    overflow) and, for tol >= 0, it is never admissible.  Dropping those
+    subsets keeps the lexicographic order of the rest.  The live subsets
+    are evaluated in lexicographic chunks of PIVOT_CHUNK, with one stacked
     determinant per matrix per chunk; the stacked determinant runs the same
     LU per block and the thresholds multiply the row floors in the same
     order, so the decision is the one a subset-by-subset scan makes.  The
-    cost still grows with the lexicographic position of the answer, up to
-    C(n, m) determinants when no subset qualifies.
+    cost grows with the position of the answer among the live subsets:
+    dependent nonzero rows are still enumerated, up to C(live, m)
+    determinants when no subset qualifies.
     """
     mats = [np.asarray(M, dtype=float) for M in mats]
     n = mats[0].shape[0]
@@ -168,10 +177,15 @@ def pivot_rows(mats, m: int, tol: float = DEFAULT_TOL, names=None) -> tuple:
         if all(abs(np.linalg.det(M[:m])) > tol * _row_products(f[:m])
                for M, f in zip(mats, floors)):
             return tuple(range(m))
-        subsets = itertools.combinations(range(n), m)
-        next(subsets)  # the leading subset, tested above
+        live = (list(range(n)) if tol < 0 else
+                np.flatnonzero(np.logical_and.reduce([M.any(axis=1) for M in mats])).tolist())
+        subsets = itertools.combinations(live, m)
+        size = 1  # the leading live subset alone, then whole chunks
+        if live[:m] == list(range(m)):
+            next(subsets)  # the leading subset, tested above
+            size = PIVOT_CHUNK
         while True:
-            chunk = itertools.chain.from_iterable(itertools.islice(subsets, PIVOT_CHUNK))
+            chunk = itertools.chain.from_iterable(itertools.islice(subsets, size))
             idx = np.fromiter(chunk, dtype=np.intp).reshape(-1, m)
             if not len(idx):
                 break
@@ -179,6 +193,7 @@ def pivot_rows(mats, m: int, tol: float = DEFAULT_TOL, names=None) -> tuple:
                 idx = idx[np.abs(np.linalg.det(M[idx])) > tol * _row_products(f[idx])]
             if len(idx):
                 return tuple(int(i) for i in idx[0])
+            size = PIVOT_CHUNK
     labels = ", ".join(names) if names else f"{len(mats)} matrix(es)"
     raise ChartError(
         f"no admissible pivot rows: every {m}-subset of rows has a "

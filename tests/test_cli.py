@@ -236,3 +236,17 @@ def test_python_dash_m_runs_the_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "canon", value)
     assert proc.returncode == code == 0, proc.stderr
     assert proc.stdout == out
+
+
+def test_non_finite_json_is_rejected_with_the_file_name(capsys, tmp_path):
+    text = json.dumps(WORKED_DOUBLE)
+    for bad in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400):
+        path = tmp_path / "dv.json"
+        path.write_text(text.replace('"u": [0.0, 0.0]', f'"u": [{bad}, 0.0]'))
+        code, out, err = run_cli(capsys, "canon", str(path))
+        assert (code, out) == (2, ""), bad
+        assert f"invalid JSON in {path}" in err and bad[:32] in err
+        assert "SVD" not in err
+    element = write_json(tmp_path, "p.json", WORKED_ELEMENT)
+    code, out, err = run_cli(capsys, "act", "--value", str(path), "--element", element)
+    assert code == 2 and out == "" and str(path) in err

@@ -16,7 +16,7 @@ from doublejets.core import (Dims, DoubleVelocity, Velocity,
 from doublejets.groups import PrincipalJetElement
 from doublejets.linalg import ChartError, close, safe_inv, scaled_error
 from doublejets.sampling import (double, group_element, holonomic_double,
-                                 principal_element, rng_from,
+                                 invertible_matrix, principal_element, rng_from,
                                  semiholonomic_double, semiholonomic_element,
                                  vertical_double)
 from doublejets.actions import act_L_velocity
@@ -335,3 +335,37 @@ def test_affine_add_contact_mismatch_errors():
     with pytest.raises(ValueError):
         affine_add_contact(d, QuotientVerticalVector(other_base, d.I,
                                                      np.zeros((2, 2, 2))))
+
+
+def test_dead_leading_rows_give_the_subset_scan_chart(monkeypatch):
+    """(12, 4) values whose 8 leading rows are zero: every pivot search of
+    the canonicalizations, the ContactElement validation included, lands on
+    the last four rows, as the per-subset scan does."""
+    from test_linalg import pivot_rows_by_subset
+
+    rng = rng_from(68)
+    dims, I = Dims(4, 12), (8, 9, 10, 11)
+
+    def dead(block):
+        full = np.zeros((12,) + block.shape[1:])
+        full[8:] = block
+        return full
+
+    U = dead(invertible_matrix(rng, 4))
+    W = dead(rng.integers(-5, 6, size=(4, 4, 4)).astype(float))
+    u = rng.integers(-5, 6, size=12)
+    dv = DoubleVelocity(dims, u, U, dead(invertible_matrix(rng, 4)), W)
+    semi = DoubleVelocity(dims, u, U, U, W)
+    vert = DoubleVelocity(dims, u, U, np.zeros((12, 4)), W)
+
+    def outputs():
+        d = double_contact_of(dv)
+        h, k = decompose_contact(double_contact_of(semi))
+        q = vertical_quotient(vert)
+        assert d.I == h.I == k.I == q.I == I
+        return [x.to_dict() for x in (d, h, k, q)]
+
+    fast = outputs()
+    monkeypatch.setattr("doublejets.contact.pivot_rows",
+                        lambda mats, m, tol=1e-9, names=None: pivot_rows_by_subset(mats, m, tol))
+    assert outputs() == fast

@@ -10,6 +10,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -192,6 +193,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep["failures"] == 0 else EXIT_FAILED
 
 
+def _at_least(convert, low):
+    """An argparse type: a finite number, read by `convert`, no smaller than
+    `low`; anything else is a usage error that names the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < math.inf:
+            what = "an integer" if convert is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what} >= {low}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doublejets",
@@ -204,41 +220,35 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=None,
                      help="target dimension (default m + 2)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=_at_least(int, 0), default=1)
     gen.add_argument("--pretty", action="store_true")
-    gen.set_defaults(fn=cmd_gen)
 
     act = sub.add_parser("act", help="apply a group element to a value")
     act.add_argument("--value", required=True, help="value file or '-' for stdin")
     act.add_argument("--element", required=True, help="group element file")
     act.add_argument("--pretty", action="store_true")
-    act.set_defaults(fn=cmd_act)
 
     comp = sub.add_parser("compose", help="compose two group elements")
     comp.add_argument("left", help="left factor file or '-'")
     comp.add_argument("right", help="right factor file")
     comp.add_argument("--pretty", action="store_true")
-    comp.set_defaults(fn=cmd_compose)
 
     exch = sub.add_parser("exchange", help="apply the exchange involution")
     exch.add_argument("value", help="value file or '-'")
     exch.add_argument("--pretty", action="store_true")
-    exch.set_defaults(fn=cmd_exchange)
 
     canon = sub.add_parser("canon", help="canonicalize to a contact element")
     canon.add_argument("value", help="value file or '-'")
-    canon.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    canon.add_argument("--tol", type=_at_least(float, 0), default=DEFAULT_TOL)
     canon.add_argument("--pretty", action="store_true")
-    canon.set_defaults(fn=cmd_canon)
 
     dec = sub.add_parser("decompose",
                          help="split a semiholonomic value into holonomic and curvature parts")
     dec.add_argument("value", help="value file or '-'")
-    dec.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    dec.add_argument("--tol", type=_at_least(float, 0), default=DEFAULT_TOL)
     dec.add_argument("--check", action="store_true",
                      help="re-add the parts and compare with the input")
     dec.add_argument("--pretty", action="store_true")
-    dec.set_defaults(fn=cmd_decompose)
 
     ver = sub.add_parser("verify", help="run a randomized verification suite")
     ver.add_argument("--suite", default="all",
@@ -246,23 +256,32 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m", type=int, default=2)
     ver.add_argument("--n", type=int, default=None,
                      help="target dimension (default m + 2)")
-    ver.add_argument("--trials", type=int, default=1000)
+    ver.add_argument("--trials", type=_at_least(int, 1), default=1000)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ver.add_argument("--tol", type=_at_least(float, 0), default=DEFAULT_TOL)
     ver.add_argument("--pretty", action="store_true")
-    ver.set_defaults(fn=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused for the life of the
+    process: parsing makes a fresh namespace and leaves the parser as it
+    was, so repeated in-process calls of `main` stay independent."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # Each subcommand runs the cmd_<name> function of this module, looked up
+    # at call time rather than stored in the parser, which outlives the call.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (ChartError, ValueError, KeyError, TypeError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

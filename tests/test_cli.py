@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from doublejets import cli
+from doublejets import cli, groups
 from doublejets.codec import decode
 from doublejets.core import is_holonomic
 
@@ -225,17 +225,23 @@ def test_unknown_subcommand_and_missing_file(capsys, tmp_path):
     assert run_cli(capsys, "canon", str(bad))[0] == 2
 
 
-def test_python_dash_m_runs_the_cli(capsys, tmp_path):
-    value = write_json(tmp_path, "dv.json", WORKED_DOUBLE)
+def run_module(cwd, *argv):
+    """The same argv through `python -m doublejets` in a fresh process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "doublejets", "canon", value],
-                          capture_output=True, text=True, env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-m", "doublejets", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
                           timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    value = write_json(tmp_path, "dv.json", WORKED_DOUBLE)
+    proc_code, proc_out, proc_err = run_module(tmp_path, "canon", value)
     code, out, _ = run_cli(capsys, "canon", value)
-    assert proc.returncode == code == 0, proc.stderr
-    assert proc.stdout == out
+    assert proc_code == code == 0, proc_err
+    assert proc_out == out
 
 
 def test_non_finite_json_is_rejected_with_the_file_name(capsys, tmp_path):
@@ -250,3 +256,102 @@ def test_non_finite_json_is_rejected_with_the_file_name(capsys, tmp_path):
     element = write_json(tmp_path, "p.json", WORKED_ELEMENT)
     code, out, err = run_cli(capsys, "act", "--value", str(path), "--element", element)
     assert code == 2 and out == "" and str(path) in err
+
+
+BAD_NUMERIC_FLAGS = [
+    ("--tol", ["verify", "--suite", "exchange", "--m", "1", "--trials", "3"],
+     ["nan", "NaN", "-1", "-1e-12", "inf", "-inf", "1e999", "x"]),
+    ("--tol", ["canon", "-"], ["nan", "-1", "inf"]),
+    ("--tol", ["decompose", "-"], ["nan", "-1", "inf"]),
+    ("--trials", ["verify", "--suite", "exchange", "--m", "1"],
+     ["0", "-5", "1.5", "x"]),
+    ("--count", ["gen", "--kind", "double"], ["-1", "-2", "1.5", "x"]),
+]
+
+
+def test_invalid_numeric_flags_are_usage_errors_naming_the_flag(capsys):
+    for flag, argv, values in BAD_NUMERIC_FLAGS:
+        for bad in values:
+            code, out, err = run_cli(capsys, *argv, f"{flag}={bad}")
+            assert (code, out) == (2, ""), (argv, flag, bad)
+            assert f"argument {flag}: " in err and repr(bad) in err, err
+
+
+def test_zero_tolerance_and_default_flags_still_run(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--suite", "exchange", "--m", "1",
+                             "--trials", "3", "--tol", "0")
+    assert code == 0 and json.loads(out)["failures"] == 0, err
+    assert run_cli(capsys, "verify", "--suite", "exchange", "--m", "1",
+                   "--trials", "1")[0] == 0
+    code, out, _ = run_cli(capsys, "gen", "--kind", "double", "--count", "0")
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, "gen", "--kind", "double")
+    assert code == 0 and len(out.splitlines()) == 1
+    value = write_json(tmp_path, "dv.json", WORKED_DOUBLE)
+    for extra in ((), ("--tol", "0")):
+        code, out, _ = run_cli(capsys, "canon", value, *extra)
+        assert code == 0 and json.loads(out)["I"] == [0]
+    semi = write_json(tmp_path, "holo.json",
+                      {"m": 1, "n": 2, "u": [0.0, 0.0], "Ui": [[1.0], [2.0]],
+                       "Uo": [[1.0], [2.0]], "W": [[[7.0]], [[8.0]]]})
+    for extra in ((), ("--tol", "0")):
+        code, out, _ = run_cli(capsys, "decompose", semi, "--check", *extra)
+        assert code == 0 and json.loads(out)["recombines"] is True
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    real_build = cli.build_parser
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for argv in (("gen", "--kind", "double", "--count", "0"), ("--help",),
+                 ("verify", "--trials", "0"), ("gen", "--kind", "double")):
+        run_cli(capsys, *argv)
+    assert len(built) == 1
+
+
+def test_reused_parser_keeps_calls_independent(capsys, monkeypatch, tmp_path):
+    """Calls in one process, in this order, each print what a fresh process
+    prints for the same argv, although the parser is built only once."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the width
+    monkeypatch.setenv("NO_COLOR", "1")
+    value = write_json(tmp_path, "dv.json", WORKED_DOUBLE)
+    calls = [(2, ("verify", "--tol", "nan")),
+             (0, ("--help",)),
+             (0, ("--help",)),
+             (0, ("gen", "--kind", "double", "--m", "2", "--seed", "4", "--count", "3")),
+             (0, ("canon", value)),
+             (0, ("verify", "--suite", "all", "--m", "2", "--trials", "5"))]
+    seen = []
+    for expected, argv in calls:
+        got = run_cli(capsys, *argv)
+        assert got == run_module(tmp_path, *argv), argv
+        assert got[0] == expected, (argv, got[2])
+        seen.append(got)
+    assert seen[1] == seen[2] and seen[1][1].startswith("usage: doublejets")
+    assert cli.build_parser() is not cli.build_parser()
+
+    # the subcommand function is looked up at call time as well
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_gen", lambda args: 7)
+        assert cli.main(["gen", "--kind", "double"]) == 7
+
+    # the library is still looked up at call time: a corrupted composition
+    # law is caught by a verify call made after the parser was cached
+    real_compose_P = groups.compose_P
+
+    def corrupted(p1, p2):
+        good = real_compose_P(p1, p2)
+        bad_B = np.array(good.B)
+        bad_B[0, 0, 0] += 1e-3
+        return type(good)(good.m, good.Aphi, good.Asigma, bad_B)
+
+    monkeypatch.setattr("doublejets.groups.compose_P", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "group-axioms", "--m", "2",
+                           "--trials", "40", "--seed", "42")
+    assert code == 1 and json.loads(out)["failures"] > 0

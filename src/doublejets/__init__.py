@@ -12,16 +12,16 @@ from .contact import (ContactElement, DoubleContactElement,
                       vertical_quotient_by_action)
 from .core import (Dims, DoubleVelocity, Velocity, VerticalVector,
                    affine_add_vertical, as_vertical_double, double_equal,
-                   exchange, inner_projection, is_double_regular, is_holonomic,
-                   is_inner_regular, is_regular, is_semiholonomic,
-                   is_tau_regular, is_vertical, make_holonomic,
-                   outer_projection, split_semiholonomic, velocity_equal)
-from .groups import (ChiCoefficients, JetGroupElement, PrincipalJetElement,
+                   exchange, inner_projection, is_holonomic, is_inner_regular,
+                   is_regular, is_semiholonomic, is_tau_regular, is_vertical,
+                   make_holonomic, outer_projection, split_semiholonomic,
+                   velocity_equal)
+from .groups import (JetGroupElement, PrincipalJetElement,
                      SecondOrderJetElement, compose_L, compose_P, embed_L,
-                     exchange_P, factor_P, factor_semiholonomic, from_chi,
+                     exchange_P, factor_P, factor_semiholonomic,
                      from_second_order, identity_L, identity_P, inverse_L,
                      inverse_P, is_curvature_P, is_holonomic_P,
-                     is_semiholonomic_P, lambda_P, mu_P, symmetrize_P, to_chi,
+                     is_semiholonomic_P, lambda_P, mu_P, symmetrize_P,
                      to_second_order)
 from .linalg import DEFAULT_TOL, ChartError
 from .oracle import (BiPolyMap, PolyMap, act_oracle, compose_second_order,

@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import DoubleVelocity, Velocity, is_inner_regular
 from .groups import JetGroupElement, PrincipalJetElement
-from .linalg import (DEFAULT_TOL, DET_FLOOR, close, complement, numerical_rank,
-                     pivot_rows, safe_inv)
+from .linalg import (DEFAULT_TOL, close, complement, is_invertible,
+                     numerical_rank, pivot_rows, safe_inv)
 
 
 def act_L_velocity(v: Velocity, g: JetGroupElement) -> Velocity:
@@ -84,7 +84,7 @@ def solve_transporter(dv1: DoubleVelocity, dv2: DoubleVelocity, I,
     blocks = {"Ui of dv1": dv1.Ui[rows, :], "Uo of dv1": dv1.Uo[rows, :],
               "Ui of dv2": dv2.Ui[rows, :], "Uo of dv2": dv2.Uo[rows, :]}
     for name, blk in blocks.items():
-        if abs(np.linalg.det(blk)) <= DET_FLOOR:
+        if not is_invertible(blk):
             raise ValueError(f"solve_transporter: singular pivot block in {name}")
     if not close(dv1.u, dv2.u, tol):
         return None

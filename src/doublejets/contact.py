@@ -49,7 +49,7 @@ class ContactElement:
         object.__setattr__(self, "u", freeze(as_float_array(self.u, (n,), "u")))
         object.__setattr__(self, "P", freeze(as_float_array(self.P, (n, m), "P")))
         I = pivot_rows([self.P], m, names=("P",))
-        if inf_norm(self.P[list(I), :] - np.eye(m)) > 1e-6:
+        if not close(self.P[list(I), :], np.eye(m)):
             raise ValueError("P is not in reduced column-echelon form")
 
     def to_dict(self) -> dict:

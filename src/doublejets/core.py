@@ -163,18 +163,6 @@ def is_inner_regular(dv: DoubleVelocity, tol: float = DEFAULT_TOL) -> bool:
     return numerical_rank(dv.Ui, tol) == dv.dims.m
 
 
-def is_double_regular(dv: DoubleVelocity, tol: float = DEFAULT_TOL) -> bool:
-    """True when the curve into the velocity manifold is an immersion.
-
-    The Jacobian of that curve has column j equal to Uo[:, j] stacked on the
-    flattened slice W[:, :, j]; the test is rank m of this (n + n*m) x m
-    matrix.
-    """
-    n, m = dv.dims.n, dv.dims.m
-    jac = np.vstack([dv.Uo, dv.W.reshape(n * m, m)])
-    return numerical_rank(jac, tol) == m
-
-
 def is_semiholonomic(dv: DoubleVelocity, tol: float = DEFAULT_TOL) -> bool:
     """True when the two projections agree: Ui = Uo within tol."""
     return inf_norm(dv.Ui - dv.Uo) <= tol
@@ -202,7 +190,7 @@ def make_holonomic(u, U, S, tol: float = DEFAULT_TOL) -> DoubleVelocity:
         raise ValueError("U must be an n x m matrix")
     n, m = U.shape
     S = as_float_array(S, (n, m, m), "S")
-    if inf_norm(S - swap_last2(S)) > tol:
+    if not close(S, swap_last2(S), tol):
         raise ValueError("S must be symmetric in its last two slots")
     return DoubleVelocity(Dims(m, n), u, U, U, S)
 

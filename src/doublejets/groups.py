@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, DET_FLOOR, alt_part, as_float_array, freeze,
-                     inf_norm, safe_inv, swap_last2, sym_part)
+from .linalg import (DEFAULT_TOL, alt_part, as_float_array, close, freeze,
+                     inf_norm, is_invertible, safe_inv, swap_last2, sym_part)
 
 
 def _check_invertible(A: np.ndarray, name: str) -> None:
-    if abs(np.linalg.det(A)) <= DET_FLOOR:
+    if not is_invertible(A):
         raise ValueError(f"{name} must be invertible")
 
 
@@ -85,7 +85,7 @@ class SecondOrderJetElement:
         object.__setattr__(self, "A", freeze(as_float_array(self.A, (m, m), "A")))
         object.__setattr__(self, "S", freeze(as_float_array(self.S, (m, m, m), "S")))
         _check_invertible(self.A, "A")
-        if inf_norm(self.S - swap_last2(self.S)) > 1e-9:
+        if not close(self.S, swap_last2(self.S)):
             raise ValueError("S must be symmetric in its last two indices")
 
     def to_dict(self) -> dict:
@@ -94,24 +94,6 @@ class SecondOrderJetElement:
     @classmethod
     def from_dict(cls, d: dict) -> "SecondOrderJetElement":
         return cls(int(d["m"]), d["A"], d["S"])
-
-
-@dataclass(frozen=True, eq=False)
-class ChiCoefficients:
-    """Coefficients of the normal form chi(s, t) = Cs.s + Ct.t + Cst[s, t]."""
-
-    m: int
-    Cs: np.ndarray
-    Ct: np.ndarray
-    Cst: np.ndarray
-
-    def __post_init__(self):
-        m = self.m
-        object.__setattr__(self, "Cs", freeze(as_float_array(self.Cs, (m, m), "Cs")))
-        object.__setattr__(self, "Ct", freeze(as_float_array(self.Ct, (m, m), "Ct")))
-        object.__setattr__(self, "Cst", freeze(as_float_array(self.Cst, (m, m, m), "Cst")))
-        _check_invertible(self.Cs, "Cs")
-        _check_invertible(self.Ct, "Ct")
 
 
 def _check_same_m(a, b, op: str) -> None:
@@ -156,14 +138,6 @@ def exchange_P(p: PrincipalJetElement) -> PrincipalJetElement:
     """Swap the two arguments of the normal form chi: an involution that
     trades Aphi with Asigma and transposes B's lower slots."""
     return PrincipalJetElement(p.m, p.Asigma, p.Aphi, swap_last2(p.B))
-
-
-def to_chi(p: PrincipalJetElement) -> ChiCoefficients:
-    return ChiCoefficients(p.m, p.Asigma, p.Aphi, p.B)
-
-
-def from_chi(c: ChiCoefficients) -> PrincipalJetElement:
-    return PrincipalJetElement(c.m, c.Ct, c.Cs, c.Cst)
 
 
 def lambda_P(p: PrincipalJetElement) -> JetGroupElement:

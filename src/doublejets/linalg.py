@@ -1,20 +1,20 @@
 """Dense linear-algebra helpers shared by every module.
 
 Comparisons use a combined absolute/relative tolerance,
-|x - y| <= tol * max(1, |x|, |y|), entrywise.  Numerical rank goes through
-singular values with an exact fraction-elimination fallback for
-integer-valued matrices, so that regularity predicates stay stable on the
-integer-sampled data used throughout the test harness.
+|x - y| <= tol * max(1, |x|, |y|), entrywise.  Numeric decisions do not
+depend on the units of the coordinates: a square block is invertible when
+its determinant passes a threshold relative to its row norms (the Hadamard
+ratio), and numerical rank counts singular values relative to the largest.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-DET_FLOOR = 1e-12
 PIVOT_CHUNK = 256  # subsets per stacked determinant in pivot_rows
 
 
@@ -73,45 +73,9 @@ def alt_part(T: np.ndarray) -> np.ndarray:
     return 0.5 * (T - swap_last2(T))
 
 
-def is_integer_valued(M) -> bool:
-    M = np.asarray(M, dtype=float)
-    return bool(np.all(np.isfinite(M)) and np.all(M == np.round(M)))
-
-
-def exact_integer_rank(M) -> int:
-    """Rank of an integer-valued matrix by exact integer elimination.
-
-    Entries are rounded as Python floats, and all-zero rows, which never
-    hold a pivot, are dropped before the elimination.
-    """
-    A = [[round(v) for v in row]
-         for row in np.atleast_2d(np.asarray(M, dtype=float)).tolist() if any(row)]
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if A[r][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        lead = A[row][col]
-        for r in range(row + 1, nrows):
-            if A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [lead * a - f * b for a, b in zip(A[r], A[row])]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-
 def numerical_rank(M, tol: float = DEFAULT_TOL, scale_floor: float = 0.0) -> int:
     """Rank from singular values above tol * max(sigma_max, scale_floor).
 
-    Integer-valued matrices (up to 2**40 in magnitude) are ranked exactly
-    instead, so rank decisions on sampled data never sit on a threshold.
     A positive scale_floor keeps matrices that are pure roundoff from
     counting as full rank relative to their own noise; derived-Jacobian
     tests pass 1.0, the natural scale of integer desk data.
@@ -119,17 +83,24 @@ def numerical_rank(M, tol: float = DEFAULT_TOL, scale_floor: float = 0.0) -> int
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
-    if is_integer_valued(M) and inf_norm(M) < 2.0**40:
-        return exact_integer_rank(M)
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * max(s[0], scale_floor)))
 
 
+def is_invertible(A, tol: float = DEFAULT_TOL) -> bool:
+    """|det A| > tol * prod_i |A[i]|_inf: unchanged by scaling any row, and
+    never true for a block with a zero row.  The row norms are taken on
+    Python floats, which is faster than numpy on blocks this small."""
+    A = np.asarray(A, dtype=float)
+    floors = math.prod(max(map(abs, row)) for row in A.tolist())
+    return bool(abs(np.linalg.det(A)) > tol * floors)
+
+
 def safe_inv(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if abs(np.linalg.det(A)) <= DET_FLOOR:
+    if not is_invertible(A):
         raise ValueError(f"{what} is numerically singular")
     return np.linalg.inv(A)
 
@@ -153,14 +124,15 @@ def pivot_rows(mats, m: int, tol: float = DEFAULT_TOL, names=None) -> tuple:
     is invertible in every given matrix.
 
     A block M[I] counts as invertible when
-    |det M[I]| > tol * prod_{i in I} max(1, |M[i]|_inf), so the rule is
-    reproducible and, because a right action multiplies determinants by a
-    fixed nonzero factor, orbit-invariant on well-conditioned data.
+    |det M[I]| > tol * prod_{i in I} |M[i]|_inf, the rule of is_invertible,
+    so the choice does not change when rows are scaled and, because a right
+    action multiplies determinants by a fixed nonzero factor, it is
+    orbit-invariant on well-conditioned data.
 
     The leading subset range(m) is tested first.  On a miss only the live
     rows, nonzero in every matrix, are searched: a block with an exactly
-    zero row has a zero LU pivot, so its determinant is 0 (or NaN after
-    overflow) and, for tol >= 0, it is never admissible.  Dropping those
+    zero row has a zero threshold and a zero LU pivot, so its determinant
+    is 0 (or NaN after overflow) and it is never admissible.  Dropping those
     subsets keeps the lexicographic order of the rest.  The live subsets
     are evaluated in lexicographic chunks of PIVOT_CHUNK, with one stacked
     determinant per matrix per chunk; the stacked determinant runs the same
@@ -173,12 +145,11 @@ def pivot_rows(mats, m: int, tol: float = DEFAULT_TOL, names=None) -> tuple:
     mats = [np.asarray(M, dtype=float) for M in mats]
     n = mats[0].shape[0]
     if n >= m:
-        floors = [np.fmax(1.0, np.max(np.abs(M), axis=1)) for M in mats]
+        floors = [np.max(np.abs(M), axis=1) for M in mats]
         if all(abs(np.linalg.det(M[:m])) > tol * _row_products(f[:m])
                for M, f in zip(mats, floors)):
             return tuple(range(m))
-        live = (list(range(n)) if tol < 0 else
-                np.flatnonzero(np.logical_and.reduce([M.any(axis=1) for M in mats])).tolist())
+        live = np.flatnonzero(np.logical_and.reduce([M.any(axis=1) for M in mats])).tolist()
         subsets = itertools.combinations(live, m)
         size = 1  # the leading live subset alone, then whole chunks
         if live[:m] == list(range(m)):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Dims, DoubleVelocity, Velocity, is_inner_regular
 from .groups import PrincipalJetElement
-from .linalg import (DEFAULT_TOL, as_float_array, complement, freeze,
+from .linalg import (DEFAULT_TOL, as_float_array, close, complement, freeze,
                      inf_norm, numerical_rank, pivot_rows, safe_inv,
                      swap_last2)
 
@@ -46,7 +46,7 @@ class PolyMap:
         object.__setattr__(self, "c0", freeze(as_float_array(self.c0, (n,), "c0")))
         object.__setattr__(self, "c1", freeze(as_float_array(self.c1, (n, m), "c1")))
         object.__setattr__(self, "c2", freeze(as_float_array(self.c2, (n, m, m), "c2")))
-        if inf_norm(self.c2 - swap_last2(self.c2)) > 1e-9:
+        if not close(self.c2, swap_last2(self.c2)):
             raise ValueError("c2 must be symmetric in its last two indices")
 
     def __call__(self, x) -> np.ndarray:

@@ -56,6 +56,72 @@ def test_contact_of_errors():
 def test_contact_element_requires_echelon_form():
     with pytest.raises(ValueError):
         ContactElement(Dims(1, 2), [0, 0], [[2.0], [4.0]])
+    ContactElement(Dims(1, 2), [0, 0], [[1.0 + 1e-12], [4.0]])
+    with pytest.raises(ValueError, match="reduced column-echelon"):
+        ContactElement(Dims(1, 2), [0, 0], [[1.0 + 1e-7], [4.0]])
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-8])
+def test_contact_of_small_velocity(c):
+    """A well-conditioned 5 x 3 velocity keeps its plane when scaled down."""
+    U = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0],
+                  [1.0, -2.0, 5.0], [-3.0, 0.0, 1.0]])
+    v = Velocity(Dims(3, 5), [1.0, 2.0, 3.0, 4.0, 5.0], U)
+    small = contact_of(Velocity(v.dims, c * v.u, c * U))
+    assert close(small.P, contact_of(v).P)
+    assert np.array_equal(small.P[:3], np.eye(3))
+
+
+def scaled_values():
+    """(name, value) pairs: sampled double, semiholonomic and vertical
+    values, and the same with a zero leading row, so that the pivot search
+    also runs past the leading subset."""
+    for t in range(8):
+        rng = rng_from(69, t)
+        dims = Dims(2 + t // 4, 5)
+        for name, make in (("double", double), ("semi", semiholonomic_double),
+                           ("vertical", vertical_double)):
+            dv = make(rng, dims)
+            yield name, dv
+            if t % 2:
+                yield name, DoubleVelocity(dims, dv.u, *(np.concatenate([0 * a[:1], a[1:]])
+                                                         for a in (dv.Ui, dv.Uo, dv.W)))
+
+
+def scale(dv, c):
+    return DoubleVelocity(dv.dims, c * dv.u, c * dv.Ui, c * dv.Uo, c * dv.W)
+
+
+@pytest.mark.parametrize("k", [-8, -5, 5, 8])
+def test_canonical_forms_do_not_depend_on_units(k):
+    """Scaling a value by c = 10^k keeps I, X and Y, multiplies u by c and
+    divides Z and V by c."""
+    c = 10.0 ** k
+
+    def same_contact(a, b):
+        return (a.I == b.I and close(a.X, b.X) and close(a.Y, b.Y)
+                and close(a.u, c * b.u) and close(c * a.Z, b.Z))
+
+    def same_quotient(a, b):
+        return (a.I == b.I and a.kind == b.kind and close(c * a.V, b.V)
+                and close(a.base.P, b.base.P) and close(a.base.u, c * b.base.u))
+
+    charts = set()
+    for name, dv in scaled_values():
+        big = scale(dv, c)
+        if name == "vertical":
+            q = vertical_quotient(dv)
+            assert same_quotient(vertical_quotient(big), q)
+            charts.add(q.I)
+            continue
+        d = double_contact_of(dv)
+        assert same_contact(double_contact_of(big), d)
+        charts.add(d.I)
+        if name == "semi":
+            holo, curv = decompose_contact(d)
+            holo_c, curv_c = decompose_contact(double_contact_of(big))
+            assert same_contact(holo_c, holo) and same_quotient(curv_c, curv)
+    assert {(0, 1), (1, 2), (0, 1, 2), (1, 2, 3)} <= charts, charts
 
 
 def test_contact_equal():

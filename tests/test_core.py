@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from doublejets.core import (Dims, DoubleVelocity, Velocity, VerticalVector,
                              affine_add_vertical, as_vertical_double,
                              double_equal, exchange, inner_projection,
-                             is_double_regular, is_holonomic, is_inner_regular,
-                             is_regular, is_semiholonomic, is_tau_regular,
-                             is_vertical, make_holonomic, outer_projection,
+                             is_holonomic, is_inner_regular, is_regular,
+                             is_semiholonomic, is_tau_regular, is_vertical,
+                             make_holonomic, outer_projection,
                              split_semiholonomic)
 from doublejets.linalg import close
 from doublejets.oracle import PolyMap, prolong
@@ -120,26 +120,6 @@ def test_regularity_duality(dv):
     assert is_inner_regular(dv) == is_tau_regular(exchange(dv))
 
 
-def test_is_double_regular_basics():
-    n, m = 3, 2
-    Uo = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    dv = DoubleVelocity(Dims(m, n), np.zeros(n), np.zeros((n, m)), Uo,
-                        np.zeros((n, m, m)))
-    assert is_double_regular(dv)
-    flat = DoubleVelocity(Dims(m, n), np.zeros(n), np.zeros((n, m)),
-                          np.zeros((n, m)), np.zeros((n, m, m)))
-    assert not is_double_regular(flat)
-
-
-@given(dv_strategy(2, 3))
-def test_is_double_regular_matches_svd_oracle(dv):
-    n, m = 3, 2
-    jac = np.vstack([dv.Uo, dv.W.reshape(n * m, m)])
-    s = np.linalg.svd(jac, compute_uv=False)
-    oracle_rank = 0 if s[0] == 0 else int(np.sum(s > 1e-9 * s[0]))
-    assert is_double_regular(dv) == (oracle_rank == m)
-
-
 def test_semiholonomic_and_holonomic_predicates():
     dims = Dims(2, 3)
     U = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
@@ -156,6 +136,15 @@ def test_make_holonomic_rejects_asymmetric():
     S = np.zeros((2, 2, 2))
     S[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
+        make_holonomic([0, 0], [[1, 0], [0, 1]], S)
+
+
+def test_make_holonomic_symmetry_check_is_relative():
+    S = 1e8 * np.array([[[1.0, 3.0], [3.0, 2.0]], [[5.0, 7.0], [7.0, 1.0]]])
+    S[0, 0, 1] = np.nextafter(S[0, 0, 1], np.inf)  # one ulp, about 6e-8
+    assert np.array_equal(make_holonomic([0, 0], [[1, 0], [0, 1]], S).W, S)
+    S[0, 0, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="S must be symmetric"):
         make_holonomic([0, 0], [[1, 0], [0, 1]], S)
 
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from doublejets.core import Dims
-from doublejets.groups import (ChiCoefficients, JetGroupElement,
-                               PrincipalJetElement, SecondOrderJetElement,
-                               compose_L, compose_P, embed_L, exchange_P,
-                               factor_P, factor_semiholonomic, from_chi,
-                               from_second_order, identity_L, identity_P,
-                               inverse_L, inverse_P, is_curvature_P,
-                               is_holonomic_P, is_semiholonomic_P, lambda_P,
-                               mu_P, symmetrize_P, to_chi, to_second_order)
+from doublejets.groups import (JetGroupElement, PrincipalJetElement,
+                               SecondOrderJetElement, compose_L, compose_P,
+                               embed_L, exchange_P, factor_P,
+                               factor_semiholonomic, from_second_order,
+                               identity_L, identity_P, inverse_L, inverse_P,
+                               is_curvature_P, is_holonomic_P,
+                               is_semiholonomic_P, lambda_P, mu_P,
+                               symmetrize_P, to_second_order)
 from doublejets.linalg import close, scaled_error
 from doublejets.oracle import PolyMap, compose_second_order
 from doublejets.sampling import (principal_element, rng_from,
@@ -30,6 +30,21 @@ def test_construction_rejects_singular_blocks():
         JetGroupElement(2, [[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ValueError):
         PrincipalJetElement(1, [[0.0]], [[1.0]], [[[0.0]]])
+
+
+def test_invertibility_does_not_depend_on_units():
+    """Small well-conditioned blocks are invertible (|det| = 1e-15 at
+    1e-5 * I); a singular block stays singular at any scale."""
+    for c in (1e-5, 1e-8, 1e5, 1e8):
+        p = PrincipalJetElement(3, c * np.eye(3), c * np.eye(3), np.zeros((3, 3, 3)))
+        assert perr(compose_P(p, inverse_P(p)), identity_P(3)) <= 1e-9
+        assert close(inverse_L(JetGroupElement(2, c * np.array([[1.0, 2.0], [3.0, 4.0]]))).A,
+                     np.array([[-2.0, 1.0], [1.5, -0.5]]) / c)
+        with pytest.raises(ValueError, match="A must be invertible"):
+            JetGroupElement(2, c * np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(ValueError, match="Asigma must be invertible"):
+            PrincipalJetElement(2, c * np.eye(2), c * np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                np.zeros((2, 2, 2)))
 
 
 def test_compose_L():
@@ -107,23 +122,6 @@ def test_exchange_P_homomorphism_on_semiholonomic():
         p2 = semiholonomic_element(rng, 2)
         assert perr(exchange_P(compose_P(p1, p2)),
                     compose_P(exchange_P(p1), exchange_P(p2))) <= 1e-9
-
-
-def test_chi_coefficients_roundtrip():
-    e = to_chi(identity_P(2))
-    assert close(e.Cs, np.eye(2)) and close(e.Ct, np.eye(2))
-    assert np.max(np.abs(e.Cst)) == 0.0
-    c = to_chi(P1(2, 3, 5))
-    assert (c.Cs[0, 0], c.Ct[0, 0], c.Cst[0, 0, 0]) == (3.0, 2.0, 5.0)
-    for t in range(20):
-        rng = rng_from(8, t)
-        p = principal_element(rng, 2)
-        assert perr(from_chi(to_chi(p)), p) == 0.0
-
-
-def test_chi_requires_invertible_coefficients():
-    with pytest.raises(ValueError):
-        ChiCoefficients(1, [[0.0]], [[1.0]], [[[0.0]]])
 
 
 def test_lambda_mu():
@@ -239,3 +237,19 @@ def test_second_order_requires_symmetric_S():
     S[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
         SecondOrderJetElement(2, np.eye(2), S)
+
+
+def test_symmetry_checks_are_relative():
+    """An S symmetric up to one ulp at scale 1e8 is symmetric; an asymmetry
+    of 1e-6 of the entries is not."""
+    S = 1e8 * np.array([[[1.0, 3.0], [3.0, 2.0]], [[5.0, 7.0], [7.0, 1.0]]])
+    S[1, 0, 1] = np.nextafter(S[1, 0, 1], np.inf)
+    assert S[1, 0, 1] - S[1, 1, 0] > 1e-9
+    q = SecondOrderJetElement(2, np.eye(2), S)
+    assert np.array_equal(q.S, S)
+    PolyMap(Dims(2, 2), np.zeros(2), np.eye(2), S)
+    S[1, 0, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="S must be symmetric"):
+        SecondOrderJetElement(2, np.eye(2), S)
+    with pytest.raises(ValueError, match="c2 must be symmetric"):
+        PolyMap(Dims(2, 2), np.zeros(2), np.eye(2), S)

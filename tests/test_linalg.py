@@ -4,15 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from doublejets.linalg import (DEFAULT_TOL, PIVOT_CHUNK, ChartError, exact_integer_rank,
-                               inf_norm, numerical_rank, pivot_rows)
+from doublejets.linalg import (DEFAULT_TOL, PIVOT_CHUNK, ChartError, inf_norm,
+                               is_invertible, numerical_rank, pivot_rows)
 from doublejets.sampling import rng_from
 
 
 def pivot_rows_by_subset(mats, m, tol=DEFAULT_TOL):
     """Reference twin of pivot_rows: one determinant per subset per matrix,
     scanned in lexicographic order, with the threshold
-    tol * prod_{i in I} max(1, |M[i]|_inf) multiplied row by row."""
+    tol * prod_{i in I} |M[i]|_inf multiplied row by row."""
     mats = [np.asarray(M, dtype=float) for M in mats]
     n = mats[0].shape[0]
     for I in itertools.combinations(range(n), m):
@@ -21,7 +21,7 @@ def pivot_rows_by_subset(mats, m, tol=DEFAULT_TOL):
         def admissible(M):
             scale = 1.0
             for i in rows:
-                scale *= max(1.0, inf_norm(M[i]))
+                scale *= inf_norm(M[i])
             return abs(np.linalg.det(M[rows, :])) > tol * scale
 
         if all(admissible(M) for M in mats):
@@ -105,7 +105,8 @@ def test_pivot_rows_matches_subset_scan(kind):
 
 @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
 def test_pivot_rows_negative_tol_matches_subset_scan():
-    """With tol < 0 a zero determinant passes, so dead rows stay in the search."""
+    """With tol < 0 a dead row still gives a zero threshold that a zero (or
+    NaN) determinant does not pass, so dead rows stay out of the search."""
     for t in range(100):
         rng = rng_from(64, t)
         m = int(rng.integers(1, 4))
@@ -113,6 +114,39 @@ def test_pivot_rows_negative_tol_matches_subset_scan():
         mats = sample_mats(rng, "nan-rows", n, m)
         assert decision(lambda M, k: pivot_rows(M, k, -1.0), mats, m) == \
             decision(lambda M, k: pivot_rows_by_subset(M, k, -1.0), mats, m)
+
+
+@pytest.mark.parametrize("kind", ["integer", "perturbed", "rank-deficient", "zero-rows",
+                                  "zero-in-Uo", "few-live"])
+def test_pivot_rows_ignores_row_scaling(kind):
+    """Multiplying rows by 10^-8 or 10^8 does not move I."""
+    non_leading = 0
+    for t in range(200):
+        rng = rng_from(70, KINDS.index(kind), t)
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, m + 6))
+        mats = sample_mats(rng, kind, n, m)
+        D = 10.0 ** rng.choice([-8, 8], size=(n, 1))
+        expected = decision(pivot_rows, mats, m)
+        assert decision(pivot_rows, [D * M for M in mats], m) == expected
+        non_leading += expected not in ("ChartError", tuple(range(m)))
+    assert non_leading or kind in ("integer", "perturbed", "rank-deficient")
+
+
+def test_is_invertible_is_relative_to_the_rows():
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    for c in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+        assert is_invertible(c * A) and is_invertible(A * [[c], [1.0], [1.0 / c]])
+    assert not is_invertible([[1.0, 2.0], [1.0, 2.0 + 1e-12]])
+    assert is_invertible([[1.0, 2.0], [1.0, 2.0 + 1e-12]], tol=1e-13)
+    for tol in (-1.0, 0.0, DEFAULT_TOL):  # a zero row gives a zero threshold
+        assert not is_invertible([[1.0, 2.0], [0.0, -0.0]], tol)
+
+
+def test_numerical_rank_does_not_depend_on_units():
+    """det M = 1 but sigma_2 / sigma_1 is about 2e-13: rank 1 at any scale."""
+    M = np.array([[2**20, 2**20 + 1], [2**20 - 1, 2**20]], dtype=float)
+    assert numerical_rank(M) == numerical_rank(1e-3 * M) == numerical_rank(1e8 * M) == 1
 
 
 def test_pivot_rows_dead_and_dependent_rows_reach_a_later_chunk():
@@ -218,7 +252,9 @@ def fraction_rank(M):
 
 
 def test_exact_integer_rank_matches_fraction_elimination():
-    big = 2**40 - 1  # numerical_rank takes the exact path below 2**40
+    """The SVD rank equals the exact rank on integer matrices that are not
+    near a rank drop, with entries up to 2**40."""
+    big = 2**40 - 1
     shapes = [(1, 1), (1, 5), (5, 1), (7, 3), (3, 7), (6, 6), (9, 4)]
     ranks = set()
     for t in range(400):
@@ -239,8 +275,8 @@ def test_exact_integer_rank_matches_fraction_elimination():
         F = M.astype(float)
         assert np.array_equal(F, M) and inf_norm(F) < 2.0**40
         expected = fraction_rank(M)
-        assert exact_integer_rank(F) == numerical_rank(F) == expected, (t, M)
+        assert numerical_rank(F) == expected, (t, M)
         ranks.add(expected)
-    assert exact_integer_rank(np.zeros((4, 3))) == exact_integer_rank(-np.zeros((1, 2))) == 0
-    assert exact_integer_rank([3.0, 0.0]) == 1  # one row
+    assert numerical_rank(np.zeros((4, 3))) == numerical_rank(-np.zeros((1, 2))) == 0
+    assert numerical_rank([3.0, 0.0]) == 1  # one row
     assert ranks == set(range(7))

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import actions
 from .core import (Dims, DoubleVelocity, Velocity, inner_projection,
-                   is_inner_regular, is_regular, is_tau_regular, is_vertical)
+                   is_inner_regular, is_tau_regular, is_vertical)
 from .groups import PrincipalJetElement, embed_L, JetGroupElement
 from .linalg import (DEFAULT_TOL, alt_part, as_float_array, close, complement,
-                     freeze, inf_norm, pivot_rows, safe_inv, swap_last2,
-                     sym_part)
+                     freeze, inf_norm, numerical_rank, pivot_rows, safe_inv,
+                     swap_last2, sym_part)
 
 QUOTIENT_KINDS = ("general", "sym", "alt")
 
@@ -48,6 +48,11 @@ class ContactElement:
         n, m = self.dims.n, self.dims.m
         object.__setattr__(self, "u", freeze(as_float_array(self.u, (n,), "u")))
         object.__setattr__(self, "P", freeze(as_float_array(self.P, (n, m), "P")))
+        # The first m live rows hold exactly the identity: pivot_rows would
+        # choose them, since every earlier subset has a zero row.
+        first = np.flatnonzero(self.P.any(axis=1))[:m]
+        if len(first) == m and np.array_equal(self.P[first], np.eye(m)):
+            return
         I = pivot_rows([self.P], m, names=("P",))
         if not close(self.P[list(I), :], np.eye(m)):
             raise ValueError("P is not in reduced column-echelon form")
@@ -143,11 +148,19 @@ def contact_of(v: Velocity, tol: float = DEFAULT_TOL) -> ContactElement:
     The plane basis is reduced to column-echelon form, which is invariant
     under the right jet-group action because the column space is.
     """
-    _require_codim(v.dims)
-    if not is_regular(v, tol):
+    return _contact_from(v.dims, v.u, v.U, tol)
+
+
+def _contact_from(dims: Dims, u, U: np.ndarray, tol: float, chart=None) -> ContactElement:
+    """contact_of on base point u and linear part U.  When U is exactly the
+    identity at the rows `chart`, and those are the pivot rows, the inverse
+    pivot block is the identity too (np.linalg.inv returns it bit for bit)."""
+    _require_codim(dims)
+    if numerical_rank(U, tol) != dims.m:
         raise ValueError("contact_of requires a regular velocity (rank m linear part)")
-    rows = list(pivot_rows([v.U], v.dims.m, tol, names=("U",)))
-    return _echelon_contact(v.dims, v.u, v.U, rows, safe_inv(v.U[rows, :], "U pivot block"))
+    rows = list(pivot_rows([U], dims.m, tol, names=("U",)))
+    r = np.eye(dims.m) if tuple(rows) == chart else safe_inv(U[rows, :], "U pivot block")
+    return _echelon_contact(dims, u, U, rows, r)
 
 
 def _echelon_contact(dims: Dims, u, U: np.ndarray, rows: list, r: np.ndarray) -> ContactElement:
@@ -170,15 +183,17 @@ def double_contact_of(dv: DoubleVelocity, tol: float = DEFAULT_TOL) -> DoubleCon
     non-pivot rows of the transported blocks are the coordinates.
     """
     _require_codim(dv.dims)
+    # When Uo is Ui bit for bit, each decision on Uo is the one on Ui.
+    same = dv.Uo.tobytes() == dv.Ui.tobytes()
     if not is_tau_regular(dv, tol):
         raise ValueError("double_contact_of requires rank(Uo) = m")
-    if not is_inner_regular(dv, tol):
+    if not same and not is_inner_regular(dv, tol):
         raise ValueError("double_contact_of requires rank(Ui) = m")
     n, m = dv.dims.n, dv.dims.m
-    I = pivot_rows([dv.Ui, dv.Uo], m, tol, names=("Ui", "Uo"))
+    I = pivot_rows([dv.Ui] if same else [dv.Ui, dv.Uo], m, tol, names=("Ui", "Uo"))
     rows = list(I)
     Asigma = safe_inv(dv.Ui[rows, :], "Ui pivot block")
-    Aphi = safe_inv(dv.Uo[rows, :], "Uo pivot block")
+    Aphi = Asigma if same else safe_inv(dv.Uo[rows, :], "Uo pivot block")
     W1 = np.einsum("ahk,hi,kj->aij", dv.W, Asigma, Aphi)
     B = -np.einsum("ih,hjk->ijk", Asigma, W1[rows, :, :])
     moved = actions.act_P_double(dv, PrincipalJetElement(m, Aphi, Asigma, B))
@@ -205,8 +220,14 @@ def representative(d: DoubleContactElement) -> DoubleVelocity:
 
 
 def contact_plane_of(d: DoubleContactElement, tol: float = DEFAULT_TOL) -> ContactElement:
-    """The underlying first-order contact element (plane X over u)."""
-    return contact_of(inner_projection(representative(d)), tol)
+    """The underlying first-order contact element (plane X over u): the
+    contact element of inner_projection(representative(d)), whose linear
+    part is the identity at I and X elsewhere."""
+    n, m = d.dims.n, d.dims.m
+    U = np.zeros((n, m))
+    U[list(d.I), :] = np.eye(m)
+    U[list(complement(d.I, n)), :] = d.X
+    return _contact_from(d.dims, d.u, U, tol, d.I)
 
 
 def double_contact_equal(d1: DoubleContactElement, d2: DoubleContactElement,

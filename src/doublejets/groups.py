@@ -61,7 +61,8 @@ class PrincipalJetElement:
         object.__setattr__(self, "Asigma", freeze(as_float_array(self.Asigma, (m, m), "Asigma")))
         object.__setattr__(self, "B", freeze(as_float_array(self.B, (m, m, m), "B")))
         _check_invertible(self.Aphi, "Aphi")
-        _check_invertible(self.Asigma, "Asigma")
+        if self.Asigma.tobytes() != self.Aphi.tobytes():
+            _check_invertible(self.Asigma, "Asigma")
 
     def to_dict(self) -> dict:
         return {"m": self.m, "Aphi": self.Aphi.tolist(),

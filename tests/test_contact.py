@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from doublejets.contact import (ContactElement, DoubleContactElement,
                                 split_quotient, vertical_quotient,
                                 vertical_quotient_by_action)
 from doublejets.core import (Dims, DoubleVelocity, Velocity,
-                             as_vertical_double, split_semiholonomic)
+                             as_vertical_double, inner_projection,
+                             is_inner_regular, is_tau_regular,
+                             split_semiholonomic)
 from doublejets.groups import PrincipalJetElement
-from doublejets.linalg import ChartError, close, safe_inv, scaled_error
+from doublejets.linalg import (ChartError, close, complement, pivot_rows,
+                               safe_inv, scaled_error)
 from doublejets.sampling import (double, group_element, holonomic_double,
                                  invertible_matrix, principal_element, rng_from,
                                  semiholonomic_double, semiholonomic_element,
@@ -435,3 +440,212 @@ def test_dead_leading_rows_give_the_subset_scan_chart(monkeypatch):
     monkeypatch.setattr("doublejets.contact.pivot_rows",
                         lambda mats, m, tol=1e-9, names=None: pivot_rows_by_subset(mats, m, tol))
     assert outputs() == fast
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "known defect: at tol 0.1 contact_of picks rows (0, 2), since the block of "
+    "rows (0, 1) has Hadamard ratio 0.1/1.1, but ContactElement validates P at "
+    "the default tol, finds rows (0, 1) admissible and rejects P as not in "
+    "reduced column-echelon form"))
+def test_contact_of_keeps_its_tol_through_validation():
+    v = Velocity(Dims(2, 3), [0, 0, 0], [[1, 1], [1, 1.1], [0, 1]])
+    assert close(contact_of(v, tol=0.1).P, [[1, 0], [1, 0.1], [0, 1]])
+
+
+def outcome(fn, *args):
+    """("ok", value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - every failure is compared
+        return type(exc), str(exc)
+
+
+def echelon_check_by_search(P, m):
+    """The echelon check of ContactElement without its identity fast path:
+    the pivot search on P, then closeness to the identity on its rows."""
+    I = pivot_rows([P], m, names=("P",))
+    if not close(P[list(I), :], np.eye(m)):
+        raise ValueError("P is not in reduced column-echelon form")
+
+
+NAN, INF = float("nan"), float("inf")
+ECHELON_CASES = {
+    "leading": [[1, 0], [0, 1], [2, 3], [4, 5]],
+    "dead leading rows": [[0, 0], [0, 0], [1, 0], [0, 1]],
+    "dead row inside": [[1, 0], [0, 0], [0, 1], [7, 8]],
+    "negative zeros": [[1, -0.0], [-0.0, 1], [-0.0, -0.0], [3, 4]],
+    "negative-zero dead row": [[-0.0, -0.0], [1, 0], [0, 1], [2, 2]],
+    "one live row": [[0, 0], [1, 0], [0, 0], [0, 0]],
+    "no live row": [[0, 0]] * 4,
+    "nan in the block": [[1, NAN], [0, 1], [2, 3], [4, 5]],
+    "nan row first": [[NAN, NAN], [1, 0], [0, 1], [4, 5]],
+    "nan row after": [[1, 0], [0, 1], [NAN, NAN], [4, 5]],
+    "inf row after": [[1, 0], [0, 1], [INF, 1], [4, 5]],
+    "identity off by 1e-12": [[1 + 1e-12, 0], [0, 1], [2, 3], [4, 5]],
+    "off-diagonal 1e-12": [[1, 1e-12], [0, 1], [2, 3], [4, 5]],
+    "identity off by 1e-7": [[1 + 1e-7, 0], [0, 1], [2, 3], [4, 5]],
+    "swapped identity": [[0, 1], [1, 0], [2, 3], [4, 5]],
+    "later identity": [[1, 1], [2, 3], [1, 0], [0, 1]],
+    "later identity behind a dependent row": [[1, 1], [2, 2], [1, 0], [0, 1]],
+}
+
+
+def echelon_cases():
+    """(m, P): the table above at m = 2, and library-built and perturbed
+    planes at m = 1..3, some behind dead leading rows."""
+    for P in ECHELON_CASES.values():
+        yield 2, np.array(P, dtype=float)
+    for t in range(30):
+        rng = rng_from(70, t)
+        m = 1 + t % 3
+        n, dead = m + 2 + t % 4, t % 3
+        U = np.zeros((n, m))
+        U[dead:] = rng.integers(-5, 6, size=(n - dead, m))
+        if np.linalg.matrix_rank(U) < m:
+            continue
+        P = contact_of(Velocity(Dims(m, n), np.zeros(n), U)).P
+        yield m, P
+        yield m, P * (1 + 1e-12 * rng.standard_normal(P.shape))
+        yield m, P[::-1].copy()
+
+
+def test_contact_element_identity_fast_path_matches_the_search():
+    """ContactElement accepts and rejects exactly what the pivot search
+    plus closeness check does, with the same exception and message."""
+    for m, P in echelon_cases():
+        n = len(P)
+        with np.errstate(invalid="ignore"):  # determinants of the NaN and inf rows
+            got = outcome(ContactElement, Dims(m, n), np.zeros(n), P)
+            want = outcome(echelon_check_by_search, P, m)
+        assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1]), (P, got, want)
+
+
+def double_contact_by_two_blocks(dv, tol):
+    """double_contact_of without the shortcut for Uo equal to Ui: both rank
+    tests, the joint pivot search and both inverse pivot blocks."""
+    if not is_tau_regular(dv, tol):
+        raise ValueError("double_contact_of requires rank(Uo) = m")
+    if not is_inner_regular(dv, tol):
+        raise ValueError("double_contact_of requires rank(Ui) = m")
+    n, m = dv.dims.n, dv.dims.m
+    I = pivot_rows([dv.Ui, dv.Uo], m, tol, names=("Ui", "Uo"))
+    rows = list(I)
+    Asigma = safe_inv(dv.Ui[rows, :], "Ui pivot block")
+    Aphi = safe_inv(dv.Uo[rows, :], "Uo pivot block")
+    W1 = np.einsum("ahk,hi,kj->aij", dv.W, Asigma, Aphi)
+    B = -np.einsum("ih,hjk->ijk", Asigma, W1[rows, :, :])
+    moved = act_P_double(dv, PrincipalJetElement(m, Aphi, Asigma, B))
+    comp = list(complement(I, n))
+    return DoubleContactElement(dv.dims, I, dv.u, moved.Ui[comp, :],
+                                moved.Uo[comp, :], moved.W[comp, :, :])
+
+
+def semiholonomic_cases():
+    """(value, tol) with Uo equal to Ui bit for bit: sampled values, scaled,
+    behind dead leading rows, rank-deficient, and one without a chart."""
+    for t in range(24):
+        rng = rng_from(71, t)
+        m = 1 + t % 3
+        dims = Dims(m, m + 2 + t % 2)
+        dv = (semiholonomic_double if t % 2 else holonomic_double)(rng, dims)
+        c = 10.0 ** (t % 9 - 4) * (1 + 1e-3 * rng.random())
+        yield dv, 1e-9
+        yield DoubleVelocity(dims, dv.u, c * dv.Ui, c * dv.Ui, c * dv.W), 1e-9
+        U = dv.Ui.copy()
+        U[: t % 3] = 0.0
+        yield DoubleVelocity(dims, dv.u, U, U, dv.W), 1e-9
+    dims = Dims(2, 3)
+    dependent = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    yield DoubleVelocity(dims, np.zeros(3), dependent, dependent, np.zeros((3, 2, 2))), 1e-9
+    # rank 2 at tol 0 (sigma_2 is roundoff), but every 2 x 2 block is singular
+    ones = np.ones((3, 2))
+    yield DoubleVelocity(dims, np.zeros(3), ones, ones, np.ones((3, 2, 2))), 0.0
+
+
+def test_double_contact_of_semiholonomic_shortcut_matches_two_blocks():
+    errors = set()
+    for dv, tol in semiholonomic_cases():
+        assert dv.Uo.tobytes() == dv.Ui.tobytes()
+        got = outcome(double_contact_of, dv, tol)
+        want = outcome(double_contact_by_two_blocks, dv, tol)
+        if want[0] != "ok":
+            assert got == want
+            errors.add(want)
+            continue
+        assert got[0] == "ok"
+        assert got[1].to_dict() == want[1].to_dict()
+        assert json.dumps(got[1].to_dict()) == json.dumps(want[1].to_dict())
+    assert errors == {
+        (ValueError, "double_contact_of requires rank(Uo) = m"),
+        (ChartError, "no admissible pivot rows: every 2-subset of rows has a "
+                     "singular block in at least one of Ui, Uo")}
+
+
+def plane_cases():
+    """(d, tol): charts at range(m), behind dead leading rows, elements
+    whose plane has another chart than d.I, and one that fails the rank
+    test at tol 0.1."""
+    for t in range(18):
+        rng = rng_from(72, t)
+        m = 1 + t % 3
+        dims = Dims(m, m + 2)
+        dv = semiholonomic_double(rng, dims)
+        U = dv.Ui.copy()
+        U[: t % 2] = 0.0
+        yield double_contact_of(DoubleVelocity(dims, dv.u, U, U, dv.W))
+        I = tuple(range(1, m + 1))  # row 0 is live in X, so the plane chart leads
+        yield DoubleContactElement(dims, I, dv.u, rng.integers(-5, 6, (2, m)),
+                                   np.zeros((2, m)), np.zeros((2, m, m)))
+    yield DoubleContactElement(Dims(2, 3), (0, 1), [0, 0, 0], [[1000.0, 1000.0]],
+                               [[0.0, 0.0]], np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 0.1])
+def test_contact_plane_of_matches_the_representative_route(tol):
+    """contact_plane_of(d) is contact_of(inner_projection(representative(d)))
+    bit for bit, or fails with the same error."""
+    charts, errors = set(), 0
+    for d in plane_cases():
+        got = outcome(contact_plane_of, d, tol)
+        want = outcome(contact_of, inner_projection(representative(d)), tol)
+        if want[0] != "ok":
+            assert got == want
+            errors += 1
+            continue
+        assert got[0] == "ok"
+        assert got[1].u.tobytes() == want[1].u.tobytes()
+        assert got[1].P.tobytes() == want[1].P.tobytes()
+        charts.add(pivot_rows([representative(d).Ui], d.dims.m, tol) == d.I)
+    assert charts == {True, False}
+    assert (errors > 0) == (tol == 0.1)
+
+
+def test_shortcuts_skip_the_repeated_work(monkeypatch):
+    """Library-built planes are validated without a search; a value with
+    Uo equal to Ui gets one rank test and one single-matrix search; a plane
+    in d's own chart inverts nothing."""
+    import doublejets.contact as contact_module
+    import doublejets.core as core_module
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, len(args[0]) if name == "pivot_rows" else None))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    dv = semiholonomic_double(rng_from(73), Dims(2, 5))
+    d = double_contact_of(dv)
+    spy(contact_module, "pivot_rows")
+    spy(contact_module, "safe_inv")
+    spy(core_module, "numerical_rank")
+    ContactElement(d.dims, d.u, representative(d).Ui)
+    assert calls == []
+    double_contact_of(dv)
+    assert calls == [("numerical_rank", None), ("pivot_rows", 1), ("safe_inv", None)]
+    calls.clear()
+    contact_plane_of(d)
+    assert calls == [("pivot_rows", 1)]

@@ -47,6 +47,19 @@ def test_invertibility_does_not_depend_on_units():
                                 np.zeros((2, 2, 2)))
 
 
+
+def test_principal_element_checks_aphi_first_and_asigma_when_it_differs():
+    """Asigma is checked only when its bits differ from those of Aphi, which
+    is always checked first, so the message names the block it did before."""
+    singular = [[1.0, 2.0], [2.0, 4.0]]
+    zero = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match="Aphi must be invertible"):
+        PrincipalJetElement(2, singular, singular, zero)
+    with pytest.raises(ValueError, match="Aphi must be invertible"):
+        PrincipalJetElement(2, singular, np.eye(2), zero)
+    with pytest.raises(ValueError, match="Asigma must be invertible"):
+        PrincipalJetElement(2, np.eye(2), singular, zero)
+
 def test_compose_L():
     g = JetGroupElement(2, [[1, 1], [0, 1]])
     assert close(compose_L(g, identity_L(2)).A, g.A)
